@@ -47,18 +47,16 @@ else gets a bare :data:`~repro.net.events.EV_ACK` 3-tuple whose dispatch
 is nothing but "free the link, drain the outbox" — no callback or
 interest checks per acknowledgment.
 
-Delay randomness is drawn in *blocks*: when the delay model exposes
-``block_stream`` (all shipped models do), each link's next
+Delay randomness is drawn in *blocks*: each link's next
 :data:`~repro.net.delays.BLOCK_PAIRS` (message delay, ack delay) pairs are
-filled into one flat per-runtime float array in a single closure call, and
-a send consumes two list loads instead of calling into the model at all.
-Per-link injection numbers are strictly sequential, so a block is always
-consumed in order and refilled exactly at its boundary; sweeps pass one
-shared buffer across replays (:mod:`repro.net.sweep`) so the allocation is
-paid once per sweep.  Models exposing only ``pair_stream`` keep the
-one-closure-call-per-message path, and models with neither keep the
-historical draw-at-delivery path, so time-dependent custom models observe
-identical ``now`` values on both engines.
+filled into one flat per-runtime float array in a single call of the
+model's ``block_stream`` fill, and a send consumes two list loads instead
+of calling into the model at all.  A plain-callable model without
+``block_stream`` gets an adapter fill that calls it once per draw, so
+every model takes this one path.  Per-link injection numbers are strictly
+sequential, so a block is always consumed in order and refilled exactly at
+its boundary; sweeps pass one shared buffer across replays
+(:mod:`repro.net.sweep`) so the allocation is paid once per sweep.
 
 A message usually costs no acknowledgment event at all: when nobody waits
 on an ack (no ``on_delivered`` interest, nothing queued or outstanding on
@@ -125,15 +123,34 @@ def make_block_buffer(num_links: int) -> MutableSequence[float]:
     """A zeroed flat delay-block buffer for ``num_links`` links.
 
     A plain list: fills store the float objects they compute, and the send
-    path reads them back by reference — two float allocations per message,
-    exactly what the per-message ``pair_stream`` call paid.  (An
-    ``array('d')`` was measured and rejected: unboxing on fill plus
+    path reads them back by reference — two float allocations per message.
+    (An ``array('d')`` was measured and rejected: unboxing on fill plus
     re-boxing on read doubles the float allocations per message, which
     costs more than the raw-double layout saves — and with
     :data:`~repro.net.delays.BLOCK_PAIRS` small, the resident float set
     stays a few hundred KB even at n=1024.)
     """
     return [0.0] * (BLOCK_SPAN * num_links)
+
+
+def _callable_fill(model: DelayModel, u: NodeId, v: NodeId):
+    """``block_stream(u, v)`` for a model that is only a callable.
+
+    Writes ``model(u, v, k, 0.0)`` and the acknowledgment draw
+    ``model(v, u, -k, 0.0)`` per injection number ``k`` — the values the
+    block fills of the shipped models produce.  ``now`` is passed as 0.0:
+    a delay model's draw may not depend on it (see
+    :class:`~repro.net.delays.DelayModel`).
+    """
+
+    def fill(buf, base: int, start: int, n: int) -> None:
+        i = base
+        for k in range(start, start + n):
+            buf[i] = model(u, v, k, 0.0)
+            buf[i + 1] = model(v, u, -k, 0.0)
+            i += 2
+
+    return fill
 
 
 def _fill_checked(fill, buf, base: int, seq: int, pairs: int) -> None:
@@ -149,7 +166,7 @@ def _fill_checked(fill, buf, base: int, seq: int, pairs: int) -> None:
     for x in buf[base:base + 2 * pairs]:
         if not 0.0 < x <= TAU:
             raise InvalidDelayError(
-                f"block stream produced delay {x!r} outside (0, {TAU}]"
+                f"delay model produced delay {x!r} outside (0, {TAU}]"
             )
 
 
@@ -598,7 +615,7 @@ class AsyncRuntime(EventQueue):
     * ``_busy[lid]`` — the Appendix B in-flight slot;
     * ``_outbox[lid]`` — the priority outbox heap (``None`` until first used);
     * ``_seq[lid]`` — outbox FIFO tiebreaker;
-    * ``_injected[lid]`` — injection counter (drives the delay streams and
+    * ``_injected[lid]`` — injection counter (drives the block fills and
       recovers ``messages`` at run end);
     * ``_pending[lid]`` — scheduled transport records outstanding for the
       link.  Normally alternates 1 -> 1 -> 0; an ``on_delivered`` callback
@@ -617,10 +634,7 @@ class AsyncRuntime(EventQueue):
     * ``_delivered[lid]`` / ``_ack_prefix[lid]`` — the sender's overridden
       ``on_delivered`` (or ``None``) and its interest prefix;
     * ``_blk_fill[lid]`` / ``_blk_i[lid]`` (+ the flat ``_blk_buf``) —
-      per-link block-fill closures and cursors when the delay model
-      exposes ``block_stream``; ``_pair[lid]`` / ``_draw[lid]`` /
-      ``_ack_draw[lid]`` — the per-message stream fallbacks (``_ack_draw``
-      is bound lazily, only for links that ever re-draw an ack);
+      per-link block-fill closures and cursors;
     * ``_free_at[lid]`` / ``_reserved[lid]`` — fused-acknowledgment state:
       when a delivery needs no callback and the outbox is empty, no ack
       event is pushed at all; the ack's (time, seq) identity is *reserved*
@@ -632,8 +646,7 @@ class AsyncRuntime(EventQueue):
         "_skeleton", "_lu", "_lv", "_out", "_busy", "_outbox", "_seq",
         "_injected", "_pending", "_slot_payload", "_slot_ack",
         "_deliver", "_table", "_delivered",
-        "_ack_prefix", "_draw", "_ack_draw", "_pair", "_stream_factory",
-        "_blk_fill", "_blk_buf", "_blk_i", "_free_at",
+        "_ack_prefix", "_blk_fill", "_blk_buf", "_blk_i", "_free_at",
         "_reserved", "_send_on", "_enqueue_from", "_inject_link",
         "messages", "acks", "_fused", "outputs",
         "output_time", "_time_to_output", "processes", "_active_seq",
@@ -667,7 +680,7 @@ class AsyncRuntime(EventQueue):
         from the per-graph cache.  ``block_buffer`` is the flat delay-block
         array (``num_links * BLOCK_SPAN`` floats) — sweeps pass one shared
         buffer so the allocation is paid once per sweep; it is pure scratch
-        (every value is re-derived from the delay model's pure streams on
+        (every value is re-derived from the delay model's pure draws on
         refill), but the caller must not run two runtimes sharing one
         buffer concurrently.  By default each runtime allocates its own.
         ``faults`` is an optional :class:`~repro.net.faults.FaultSchedule`;
@@ -755,46 +768,17 @@ class AsyncRuntime(EventQueue):
         self._free_at = [0.0] * n_links
         self._reserved: List[Optional[int]] = [None] * n_links
         block_factory = getattr(delay_model, "block_stream", None)
-        stream_factory = getattr(delay_model, "link_stream", None)
-        pair_factory = getattr(delay_model, "pair_stream", None)
-        # Lazily binds reverse streams for re-drawn acknowledgments only
-        # (see _ack_delay); None when the model has no link_stream.
-        self._stream_factory = stream_factory
-        self._ack_draw: List[Optional[Callable[[int], float]]] = [None] * n_links
-        if block_factory is not None:
-            # Block path: delays come from the flat buffer; the pair/draw
-            # slots stay empty.  Cursors start at the exclusive region end,
-            # so the first send on a link triggers a fill at its injection
-            # number (blocks therefore stay aligned even across run() calls
-            # on a buffer another replay has dirtied).
-            self._blk_fill = [
-                block_factory(lu[i], lv[i]) for i in range(n_links)
-            ]
-            if block_buffer is None:
-                block_buffer = make_block_buffer(n_links)
-            self._blk_buf: Optional[MutableSequence[float]] = block_buffer
-            self._blk_i: Optional[List[int]] = list(skeleton.blk_lims)
-            self._pair: List[Optional[Callable]] = [None] * n_links
-            self._draw: List[Optional[Callable[[int], float]]] = [None] * n_links
-        else:
-            self._blk_fill = None
-            self._blk_buf = None
-            self._blk_i = None
-            if pair_factory is not None:
-                # The fused draw covers injection; ``_draw`` is never
-                # consulted.
-                self._pair = [
-                    pair_factory(lu[i], lv[i]) for i in range(n_links)
-                ]
-                self._draw = [None] * n_links
-            elif stream_factory is not None:
-                self._pair = [None] * n_links
-                self._draw = [
-                    stream_factory(lu[i], lv[i]) for i in range(n_links)
-                ]
-            else:
-                self._pair = [None] * n_links
-                self._draw = [None] * n_links
+        if block_factory is None:
+            block_factory = partial(_callable_fill, delay_model)
+        # Cursors start at the exclusive region end, so the first send on a
+        # link triggers a fill at its injection number (blocks therefore
+        # stay aligned even across run() calls on a buffer another replay
+        # has dirtied).
+        self._blk_fill = [block_factory(lu[i], lv[i]) for i in range(n_links)]
+        if block_buffer is None:
+            block_buffer = make_block_buffer(n_links)
+        self._blk_buf: MutableSequence[float] = block_buffer
+        self._blk_i = list(skeleton.blk_lims)
         self.messages = 0
         self.acks = 0
         self._fused = 0
@@ -884,20 +868,9 @@ class AsyncRuntime(EventQueue):
         after the dispatch loop itself — the body is deliberately duplicated
         across the closures rather than shared through a second frame).
         Only the loop-mutated scalars (``_now``, ``_active_seq``,
-        ``_fused``) go through ``self``.
-
-        Two closure families exist: the block family (delay model exposes
-        ``block_stream``; delays are two flat-buffer loads per send) and
-        the stream family (historical ``pair_stream``/``link_stream``/
-        generic fallbacks, one closure call per message).  The choice is
-        made once here, so the per-send body carries no "has blocks?"
-        branch.
+        ``_fused``) go through ``self``.  Delays are two flat-buffer loads
+        per send, refilled from the link's block fill at its boundary.
         """
-        if self._blk_fill is not None:
-            return self._make_block_senders()
-        return self._make_stream_senders()
-
-    def _make_block_senders(self):
         busy_a = self._busy
         outbox_a = self._outbox
         seq_a = self._seq
@@ -915,7 +888,7 @@ class AsyncRuntime(EventQueue):
         acode_a = skeleton.ack_codes
         fcode_a = skeleton.fat_codes
         span = BLOCK_SPAN
-        mask = BLOCK_SPAN - 1  # span is a power of two (asserted below)
+        mask = BLOCK_SPAN - 1  # span is a power of two (checked at import)
         pairs = BLOCK_PAIRS
         fill_checked = _fill_checked
         heap = self._heap
@@ -1103,251 +1076,6 @@ class AsyncRuntime(EventQueue):
 
         return send_on, enqueue_from, inject
 
-    def _make_stream_senders(self):
-        """The per-message-closure family (pair/draw/generic fallbacks)."""
-        busy_a = self._busy
-        outbox_a = self._outbox
-        seq_a = self._seq
-        injected_a = self._injected
-        pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
-        pair_a = self._pair
-        draw_a = self._draw
-        free_at_a = self._free_at
-        reserved_a = self._reserved
-        skeleton = self._skeleton
-        dcode_a = skeleton.deliver_codes
-        acode_a = skeleton.ack_codes
-        fcode_a = skeleton.fat_codes
-        heap = self._heap
-        counter = self._counter
-        push = heappush
-        pop = heappop
-        rt = self
-
-        def send_on(
-            lid: LinkId, payload: Payload,
-            priority: Priority = DEFAULT_PRIORITY,
-        ) -> None:
-            """Enqueue on a directed link by dense id (DESIGN.md §8)."""
-            if busy_a[lid]:
-                rs = reserved_a[lid]
-                if rs is None:
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                free_at = free_at_a[lid]
-                now = rt._now
-                if free_at > now or (free_at == now and rs > rt._active_seq):
-                    # Materialize the reserved drain event (see the block
-                    # family's send_on for the full story).
-                    reserved_a[lid] = None
-                    pending_a[lid] += 1
-                    rt._fused -= 1
-                    push(heap, (free_at, rs, acode_a[lid]))
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                reserved_a[lid] = None
-            elif outbox_a[lid]:
-                ob = outbox_a[lid]
-                seq = seq_a[lid]
-                seq_a[lid] = seq + 1
-                push(ob, (priority, seq, payload))
-                payload = pop(ob)[2]
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            pair = pair_a[lid]
-            if pair is not None:
-                delay, ack = pair(seq)
-                if not (0.0 < delay <= TAU and 0.0 < ack <= TAU):
-                    raise InvalidDelayError(
-                        f"pair stream produced ({delay!r}, {ack!r}) outside"
-                        f" (0, {TAU}]"
-                    )
-            else:
-                draw = draw_a[lid]
-                if draw is None:
-                    rt._inject_generic(lid, payload, seq)
-                    return
-                delay = draw(seq)
-                if not 0.0 < delay <= TAU:
-                    raise InvalidDelayError(
-                        f"link stream produced delay {delay!r} outside"
-                        f" (0, {TAU}]"
-                    )
-                ack = None
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = ack
-                push(heap, (rt._now + delay, next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + delay, next(counter), fcode_a[lid], payload,
-                 seq, ack),
-            )
-
-        def enqueue_from(
-            links: Mapping[NodeId, LinkId], u: NodeId, v: NodeId,
-            payload: Payload, priority: Priority = DEFAULT_PRIORITY,
-        ) -> None:
-            """Node-id send path: one dict probe, then the same body."""
-            lid = links.get(v)
-            if lid is None:
-                raise UnknownLinkError(u, v)
-            if busy_a[lid]:
-                rs = reserved_a[lid]
-                if rs is None:
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                free_at = free_at_a[lid]
-                now = rt._now
-                if free_at > now or (free_at == now and rs > rt._active_seq):
-                    reserved_a[lid] = None
-                    pending_a[lid] += 1
-                    rt._fused -= 1
-                    push(heap, (free_at, rs, acode_a[lid]))
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                reserved_a[lid] = None
-            elif outbox_a[lid]:
-                ob = outbox_a[lid]
-                seq = seq_a[lid]
-                seq_a[lid] = seq + 1
-                push(ob, (priority, seq, payload))
-                payload = pop(ob)[2]
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            pair = pair_a[lid]
-            if pair is not None:
-                delay, ack = pair(seq)
-                if not (0.0 < delay <= TAU and 0.0 < ack <= TAU):
-                    raise InvalidDelayError(
-                        f"pair stream produced ({delay!r}, {ack!r}) outside"
-                        f" (0, {TAU}]"
-                    )
-            else:
-                draw = draw_a[lid]
-                if draw is None:
-                    rt._inject_generic(lid, payload, seq)
-                    return
-                delay = draw(seq)
-                if not 0.0 < delay <= TAU:
-                    raise InvalidDelayError(
-                        f"link stream produced delay {delay!r} outside"
-                        f" (0, {TAU}]"
-                    )
-                ack = None
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = ack
-                push(heap, (rt._now + delay, next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + delay, next(counter), fcode_a[lid], payload,
-                 seq, ack),
-            )
-
-        def inject(lid: LinkId, payload: Payload) -> None:
-            """Outbox-drain tail: the link is known free (ack just fired)."""
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            pair = pair_a[lid]
-            if pair is not None:
-                delay, ack = pair(seq)
-                if not (0.0 < delay <= TAU and 0.0 < ack <= TAU):
-                    raise InvalidDelayError(
-                        f"pair stream produced ({delay!r}, {ack!r}) outside"
-                        f" (0, {TAU}]"
-                    )
-            else:
-                draw = draw_a[lid]
-                if draw is None:
-                    rt._inject_generic(lid, payload, seq)
-                    return
-                delay = draw(seq)
-                if not 0.0 < delay <= TAU:
-                    raise InvalidDelayError(
-                        f"link stream produced delay {delay!r} outside"
-                        f" (0, {TAU}]"
-                    )
-                ack = None
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = ack
-                push(heap, (rt._now + delay, next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + delay, next(counter), fcode_a[lid], payload,
-                 seq, ack),
-            )
-
-        return send_on, enqueue_from, inject
-
-    def _inject_generic(self, lid: LinkId, payload: Payload, seq: int) -> None:
-        """Draw from an arbitrary DelayModel callable, with bound checks."""
-        now = self._now
-        u = self._lu[lid]
-        v = self._lv[lid]
-        delay = self.delay_model(u, v, seq, now)
-        # Membership-style test: NaN fails every comparison, so non-finite
-        # draws land here too instead of corrupting heap order downstream.
-        if not 0.0 < delay <= TAU:
-            raise InvalidDelayError(
-                f"delay model produced {delay!r} outside (0, {TAU}] on {u}->{v}"
-            )
-        skeleton = self._skeleton
-        p = self._pending[lid]
-        self._pending[lid] = p + 1
-        if p == 0:
-            self._slot_payload[lid] = payload
-            self._slot_ack[lid] = None
-            heappush(
-                self._heap,
-                (now + delay, next(self._counter), skeleton.deliver_codes[lid]),
-            )
-            return
-        self._slot_ack[lid] = None
-        heappush(
-            self._heap,
-            (now + delay, next(self._counter), skeleton.fat_codes[lid],
-             payload, seq, None),
-        )
-
     def _ack_delay(self, lid: LinkId) -> float:
         """Ack delay drawn at delivery time, as the reference engine does.
 
@@ -1356,24 +1084,12 @@ class AsyncRuntime(EventQueue):
         delivery's acknowledgment was scheduled, the draw must see it —
         byte-for-byte reproducibility against the pre-rework engine depends
         on this detail (fat injections invalidate the slot's pre-drawn ack
-        precisely to route those deliveries here).  Reverse streams are
-        bound lazily, one per link that ever re-draws (the block and pair
-        fast paths pre-draw virtually all acknowledgments, so most replays
-        bind none).
+        precisely to route those deliveries here).  Rare: block fills
+        pre-draw every other acknowledgment.
         """
-        ack_draw = self._ack_draw[lid]
-        if ack_draw is None:
-            factory = self._stream_factory
-            if factory is not None:
-                ack_draw = self._ack_draw[lid] = factory(
-                    self._lv[lid], self._lu[lid]
-                )
-        if ack_draw is not None:
-            ack_delay = ack_draw(-self._injected[lid])
-        else:
-            ack_delay = self.delay_model(
-                self._lv[lid], self._lu[lid], -self._injected[lid], self._now
-            )
+        ack_delay = self.delay_model(
+            self._lv[lid], self._lu[lid], -self._injected[lid], self._now
+        )
         if not 0.0 < ack_delay <= TAU:
             raise InvalidDelayError(
                 f"delay model produced ack delay {ack_delay!r} outside"
@@ -1395,7 +1111,7 @@ class AsyncRuntime(EventQueue):
         if self.trace is not None:
             self.trace(now, self._lu[lid], self._lv[lid], payload)
         ack = record[5]
-        if ack is None or self._injected[lid] != record[4]:
+        if self._injected[lid] != record[4]:
             ack = self._ack_delay(lid)
         pending_a = self._pending
         p_cnt = pending_a[lid] - 1
@@ -1611,8 +1327,7 @@ class AsyncRuntime(EventQueue):
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             if crash_t[v] > 0.0:
                 self.schedule(0.0, processes[v].on_start)
-        if self._blk_i is not None:
-            self._blk_i[:] = self._skeleton.blk_lims
+        self._blk_i[:] = self._skeleton.blk_lims
         self._schedule_detectors()
         for v in self.graph.nodes:
             t_rejoin = rejoin_t[v]
@@ -1842,8 +1557,7 @@ class AsyncRuntime(EventQueue):
             seq = next(counter)
             push(heap, (0.0, seq, EV_CALLBACK, processes[v].on_start))
             cb_node[seq] = v
-        if self._blk_i is not None:
-            self._blk_i[:] = self._skeleton.blk_lims
+        self._blk_i[:] = self._skeleton.blk_lims
 
         crashable = tuple(controller.crashable)
         rejoinable = tuple(getattr(controller, "rejoinable", ()))
@@ -2157,13 +1871,12 @@ class AsyncRuntime(EventQueue):
         processes = self.processes
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             self.schedule(0.0, processes[v].on_start)
-        if self._blk_i is not None:
-            # Force a refill on every link: a shared block buffer may have
-            # been dirtied by another replay since construction (sweeps
-            # hand one buffer across replays).  Refills re-derive the same
-            # values from the model's pure streams, so this is free for a
-            # fresh runtime and correct for a resumed one.
-            self._blk_i[:] = self._skeleton.blk_lims
+        # Force a refill on every link: a shared block buffer may have been
+        # dirtied by another replay since construction (sweeps hand one
+        # buffer across replays).  Refills re-derive the same values from
+        # the model's pure draws, so this is free for a fresh runtime and
+        # correct for a resumed one.
+        self._blk_i[:] = self._skeleton.blk_lims
 
         # The dispatch loop, inlined: every construct here is deliberate —
         # record pops, per-kind branches, and the ack push run without any

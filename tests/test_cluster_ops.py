@@ -97,19 +97,6 @@ class TestAggregate:
         with pytest.raises(ValueError, match="double-contributes"):
             module.contribute(0, "t", 2)
 
-    def test_double_contribute_rejected_while_live_pooled(self):
-        # With pooling opted in, the guard still fires for any instance
-        # that has not completed — here the root of a two-node cluster
-        # still missing its child's value.
-        view = {0: ClusterView(0, parent=None, children=(1,))}
-        module = ClusterAggregateModule(
-            0, view, lambda *a: None, lambda *a: None,
-            lambda tag: min_merge, lambda tag: (0,), pool=True,
-        )
-        module.contribute(0, "t", 1)
-        with pytest.raises(ValueError, match="double-contributes"):
-            module.contribute(0, "t", 2)
-
     def test_merges(self):
         assert and_merge(True, False) is False
         assert and_merge(True, True) is True

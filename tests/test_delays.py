@@ -109,11 +109,12 @@ class TestSlowEdges:
             v = u + 1
         model = SlowEdgesDelay(seed=seed, edges=edges)
         assert model._is_slow(u, v) == model._is_slow(v, u)
-        # The delay *class* (slow = TAU, fast < TAU) is symmetric too, over
-        # both the direct-call path and the per-link streams.
+        # The delay *class* (slow = TAU, fast < TAU) is symmetric too: a
+        # message and its acknowledgment (reverse link, negated seq) share
+        # it.
         for seq in (1, 2, -1):
             assert (model(u, v, seq, 0.0) == TAU) == (model(v, u, seq, 0.0) == TAU)
-        assert (model.link_stream(u, v)(1) == TAU) == (model.link_stream(v, u)(-1) == TAU)
+            assert (model(u, v, seq, 0.0) == TAU) == (model(v, u, -seq, 0.0) == TAU)
 
 
 class TestDirectionalSkew:
@@ -148,85 +149,56 @@ def test_every_model_respects_the_bound(u, v, seq, now, seed):
 
 
 class TestStreamConsistency:
-    """The cached per-link fast paths must be bit-equal to direct calls.
+    """Block fills must be bit-equal to direct calls.
 
-    The transport trusts ``link_stream`` / ``pair_stream`` without
-    re-validating, and engine equivalence relies on the three APIs never
-    drifting apart — cross-checked here for every model over 10k
-    (u, v, seq) triples, including the negative (acknowledgment) sequence
-    numbers the transport draws with.
+    The transport draws every delay through ``block_stream`` fills and
+    re-draws the rare double-inject acknowledgment through ``__call__``;
+    engine equivalence relies on the two APIs never drifting apart —
+    cross-checked here for every model over 10k (u, v, seq) draws,
+    including the negative (acknowledgment) sequence numbers.
     """
 
-    # 50 directed pairs x 100 seqs x 2 signs = 10,000 triples per model.
+    # 50 directed pairs x 100 seqs x 2 draws = 10,000 draws per model.
     PAIRS = [(3 * i % 29, (5 * i + 7) % 31 + 29) for i in range(50)]
-    SEQS = [s for k in range(1, 101) for s in (k, -k)]
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
-    def test_link_stream_matches_direct_calls(self, model):
-        for u, v in self.PAIRS:
-            stream = model.link_stream(u, v)
-            for seq in self.SEQS:
-                assert stream(seq) == model(u, v, seq, 0.0), (u, v, seq)
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
-    def test_pair_stream_matches_direct_calls(self, model):
-        """pair(seq) == (message draw at seq, reverse-link draw at -seq)."""
-        for u, v in self.PAIRS:
-            pair = model.pair_stream(u, v)
-            for seq in self.SEQS:
-                assert pair(seq) == (
-                    model(u, v, seq, 0.0),
-                    model(v, u, -seq, 0.0),
-                ), (u, v, seq)
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
-    def test_stream_results_respect_the_bound(self, model):
-        for u, v in self.PAIRS[:10]:
-            pair = model.pair_stream(u, v)
-            for seq in self.SEQS[:40]:
-                d, a = pair(seq)
-                assert 0 < d <= TAU
-                assert 0 < a <= TAU
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
-    def test_block_stream_matches_pair_stream_and_direct_calls(self, model):
-        """``fill(buf, base, start, n)`` writes exactly the pair_stream /
-        direct-call values, bit-for-bit, over 10k (u, v, seq) triples.
+    def test_block_stream_matches_direct_calls(self, model):
+        """``fill(buf, base, start, n)`` writes exactly the direct-call
+        values, bit-for-bit: the message at ``(u, v, seq)`` and its ack at
+        ``(v, u, -seq)``.
 
         The transport serves BLOCK_PAIRS consecutive injections from one
-        fill and refills exactly at block boundaries, so the sweep includes
-        block-crossing start positions; per-pair equality against the
-        direct ``__call__`` covers the ack at the negated seq too.
+        fill and refills exactly at block boundaries, so the sweep walks
+        seqs 1..100 in aligned blocks at a nonzero base offset.
         """
         B = BLOCK_PAIRS
-        for u, v in self.PAIRS:  # 50 pairs x 100 seqs x 2 draws = 10k
+        for u, v in self.PAIRS:
             fill = model.block_stream(u, v)
-            pair = model.pair_stream(u, v)
             buf = [0.0] * (2 * 100 + 4)
-            # One aligned block sweep (seqs 1..100 in chunks of B, as the
-            # transport consumes them) at a nonzero base offset.
             for start in range(1, 101, B):
                 n = min(B, 101 - start)
                 fill(buf, 4, start, n)
                 for k in range(n):
                     seq = start + k
                     d, a = buf[4 + 2 * k], buf[4 + 2 * k + 1]
-                    assert (d, a) == pair(seq), (u, v, seq)
                     assert d == model(u, v, seq, 0.0), (u, v, seq)
                     assert a == model(v, u, -seq, 0.0), (u, v, seq)
+                    assert 0 < d <= TAU and 0 < a <= TAU
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
     @pytest.mark.parametrize("start", [BLOCK_PAIRS - 1, BLOCK_PAIRS,
                                        BLOCK_PAIRS + 1])
     def test_block_stream_at_block_boundary_seqs(self, model, start):
         """Blocks beginning at seqs B-1, B, B+1 (the refill boundaries a
-        link crosses when its block cycles) agree with pair_stream."""
+        link crosses when its block cycles) agree with direct calls."""
         fill = model.block_stream(3, 9)
-        pair = model.pair_stream(3, 9)
         buf = [0.0] * (2 * BLOCK_PAIRS)
         fill(buf, 0, start, BLOCK_PAIRS)
         for k in range(BLOCK_PAIRS):
-            assert (buf[2 * k], buf[2 * k + 1]) == pair(start + k), start + k
+            seq = start + k
+            assert (buf[2 * k], buf[2 * k + 1]) == (
+                model(3, 9, seq, 0.0), model(9, 3, -seq, 0.0)
+            ), seq
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -241,15 +213,17 @@ class TestStreamConsistency:
     def test_block_stream_property_arbitrary_windows(
         self, seed, model_idx, u, v, start, n, base
     ):
-        """Property: any (model, link, window) fill equals per-seq
-        pair_stream draws — arbitrary bases, lengths, and starts,
-        including every block-boundary seq."""
+        """Property: any (model, link, window) fill equals per-seq direct
+        calls — arbitrary bases, lengths, and starts, including every
+        block-boundary seq."""
         if u == v:
             v = u + 1
         model = standard_adversaries(seed)[model_idx]
         fill = model.block_stream(u, v)
-        pair = model.pair_stream(u, v)
         buf = [None] * (base + 2 * n)
         fill(buf, base, start, n)
         for k in range(n):
-            assert (buf[base + 2 * k], buf[base + 2 * k + 1]) == pair(start + k)
+            seq = start + k
+            assert (buf[base + 2 * k], buf[base + 2 * k + 1]) == (
+                model(u, v, seq, 0.0), model(v, u, -seq, 0.0)
+            )

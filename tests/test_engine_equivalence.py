@@ -2,7 +2,7 @@
 
 The seed revision's transport scheduled one lambda-closure event per delivery
 and per acknowledgment.  The rebuilt engine (typed records, fused
-acknowledgments with reserved sequence numbers, per-link delay streams) must
+acknowledgments with reserved sequence numbers, block-drawn delays) must
 be *observationally identical*: same delivery order, same delivery times,
 same metrics, same outputs — for every delay model in the standard adversary
 family, across topologies and seeds, for plain protocols and for the full
@@ -433,7 +433,7 @@ class AckChainSender(Process):
     fires after ``busy`` clears but before the outbox drains, so its send
     and the drain each inject — two messages in flight on one link.  The
     rebuilt transport must then *discard* the ack delay pre-drawn by the
-    pair stream and re-draw it at the link's latest injection number
+    block fill and re-draw it at the link's latest injection number
     (``_ack_delay``), or the schedules diverge.
     """
 
@@ -468,7 +468,7 @@ class AckChainSender(Process):
 def test_double_inject_ack_fallback_equivalence(seed, burst, extra, model_idx):
     """Property: an ``on_delivered`` callback injecting onto the same link
     observes the re-drawn ack delay at the *latest* injection number on
-    both engines — the pre-drawn pair-stream value must be discarded
+    both engines — the pre-drawn block-fill value must be discarded
     whenever the callback's send slipped an extra injection in first."""
     graph = topology.path_graph(2)
     process_cls = type(

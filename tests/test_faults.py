@@ -440,7 +440,7 @@ def test_sweep_replays_pin_faulty_schedules():
 # draw-time delay validation (InvalidDelayError)
 # ----------------------------------------------------------------------
 class _BadGeneric:
-    """No stream attributes: exercises the generic injection path."""
+    """No ``block_stream``: exercises the transport's adapter fill."""
 
     def __init__(self, value):
         self.value = value
@@ -449,22 +449,12 @@ class _BadGeneric:
         return self.value
 
 
-class _BadPair:
-    """pair_stream producing an invalid forward delay."""
-
-    def __init__(self, delay, ack=0.5):
-        self._pair = (delay, ack)
+class _BadAck:
+    """Callable-only model whose acknowledgment draws (negative seqs) are
+    NaN while every message draw is valid."""
 
     def __call__(self, u, v, seq, now):
-        return self._pair[0]
-
-    def link_stream(self, u, v):
-        d = self._pair[0]
-        return lambda seq: d
-
-    def pair_stream(self, u, v):
-        pair = self._pair
-        return lambda seq: pair
+        return nan if seq < 0 else 0.5
 
 
 class _BadBlock:
@@ -475,10 +465,6 @@ class _BadBlock:
 
     def __call__(self, u, v, seq, now):
         return self.value
-
-    def link_stream(self, u, v):
-        value = self.value
-        return lambda seq: value
 
     def block_stream(self, u, v):
         value = self.value
@@ -505,17 +491,9 @@ def test_generic_path_rejects_bad_delay(bad):
         AsyncRuntime(topology.path_graph(2), _Sender, _BadGeneric(bad)).run()
 
 
-@pytest.mark.parametrize("bad", [0.0, nan, inf])
-def test_pair_stream_path_rejects_bad_delay(bad):
+def test_generic_path_rejects_bad_ack():
     with pytest.raises(InvalidDelayError):
-        AsyncRuntime(topology.path_graph(2), _Sender, _BadPair(bad)).run()
-
-
-def test_pair_stream_path_rejects_bad_ack():
-    with pytest.raises(InvalidDelayError):
-        AsyncRuntime(
-            topology.path_graph(2), _Sender, _BadPair(0.5, ack=nan)
-        ).run()
+        AsyncRuntime(topology.path_graph(2), _Sender, _BadAck()).run()
 
 
 @pytest.mark.parametrize("bad", [0.0, nan, inf])

@@ -84,6 +84,10 @@ def test_sweep_shares_one_block_buffer_across_replays():
     assert buf is not None and rt1._blk_buf is buf
     rt2 = sweep.runtime(models[3])
     assert rt2._blk_buf is buf
+    # A callable-only model is served by the adapter fill from the same
+    # buffer.
+    rt3 = sweep.runtime(lambda u, v, seq, now: 0.5)
+    assert rt3._blk_buf is buf
     assert sweep._block_buffer is buf  # no reallocation per replay
     # A standalone runtime allocates its own scratch: nothing is shared
     # outside the sweep's sequential replays.
