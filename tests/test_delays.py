@@ -183,7 +183,19 @@ class TestStreamConsistency:
                     d, a = buf[4 + 2 * k], buf[4 + 2 * k + 1]
                     assert d == model(u, v, seq, 0.0), (u, v, seq)
                     assert a == model(v, u, -seq, 0.0), (u, v, seq)
-                    assert 0 < d <= TAU and 0 < a <= TAU
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
+    def test_stream_results_respect_the_bound(self, model):
+        """Every block-filled message and ack delay lies in ``(0, TAU]``,
+        so no built-in model trips the transport's draw-time check."""
+        for u, v in self.PAIRS[:10]:
+            fill = model.block_stream(u, v)
+            buf = [0.0] * (2 * 40)
+            fill(buf, 0, 1, 40)
+            for k in range(40):
+                d, a = buf[2 * k], buf[2 * k + 1]
+                assert 0 < d <= TAU, (u, v, k + 1)
+                assert 0 < a <= TAU, (u, v, k + 1)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS])
     @pytest.mark.parametrize("start", [BLOCK_PAIRS - 1, BLOCK_PAIRS,
