@@ -92,7 +92,12 @@ from .events import (
     CODE_ACK_PAYLOAD,
     CODE_DELIVER,
     CODE_DELIVER_PAYLOAD,
+    EV_ACK,
+    EV_ACK_PAYLOAD,
     EV_CALLBACK,
+    EV_DELIVER,
+    EV_DELIVER_PAYLOAD,
+    LINK_BITS,
     LINK_MASK,
     EventQueue,
 )
@@ -408,28 +413,14 @@ class ProcessContext:
 
         Protocols themselves must never use this (the asynchronous model has
         no clocks); it exists for tests and workload drivers that model the
-        environment handing a node an input at an arbitrary time.  Under a
-        fault schedule the callback is crash-guarded: a fail-stop node takes
-        no steps at or after its crash time, environment-driven or not.
+        environment handing a node an input at an arbitrary time.  The
+        callback is a step of this node: the slow loop drops it if the node
+        is down when it comes due (crashed and not yet re-joined, by a fault
+        schedule or a controller-chosen crash alike) — a fail-stop node
+        takes no steps, environment-driven or not.
         """
         runtime = self._runtime
-        crash_t = runtime._crash_t
-        if crash_t is not None:
-            t_crash = crash_t[self.node_id]
-            if t_crash < inf:
-                rejoin_t = runtime._rejoin_t
-                t_rejoin = inf if rejoin_t is None else rejoin_t[self.node_id]
-
-                def guarded(_cb=callback, _rt=runtime, _t=t_crash,
-                            _r=t_rejoin) -> None:
-                    # Dead window is [crash, rejoin): a re-joined node takes
-                    # environment steps again.
-                    if _rt._now < _t or _rt._now >= _r:
-                        _cb()
-
-                runtime.schedule(delay, guarded)
-                return
-        runtime.schedule(delay, callback)
+        runtime._cb_node[runtime.schedule(delay, callback)] = self.node_id
 
     def reset_link(self, to: NodeId) -> None:
         """Abandon the outgoing link toward ``to`` (recovery hook).
@@ -505,6 +496,15 @@ CTRL_DETECT = "detect"
 CTRL_REJOIN = "rejoin"
 CTRL_ALIVE = "alive"
 
+#: The :class:`ControlledEvent` kind of each heap record kind.
+_CTRL_KINDS = {
+    EV_CALLBACK: CTRL_CALLBACK,
+    EV_DELIVER_PAYLOAD: CTRL_DELIVER,
+    EV_ACK_PAYLOAD: CTRL_ACK,
+    EV_ACK: CTRL_ACK,
+    EV_DELIVER: CTRL_DELIVER,
+}
+
 
 class ControlledEvent:
     """One schedulable step offered to a :class:`ScheduleController`.
@@ -559,10 +559,12 @@ class ScheduleController:
     """Scheduling adversary hook for controlled runs (repro.check).
 
     When an instance is passed to :class:`AsyncRuntime`, ``run()`` enters
-    :meth:`AsyncRuntime._run_controlled` instead of the clock-driven
-    dispatch loops: the heap becomes an unordered bag of *enabled* events,
-    and at every step the controller is shown all of them (plus the
-    synthetic crash/detect actions below) and picks which one fires next.
+    the slow dispatch loop (:meth:`AsyncRuntime._run_slow`) with the
+    controller as its picker instead of the clock: the heap becomes an
+    unordered bag of *enabled* events, and at every step
+    :meth:`AsyncRuntime._control_step` shows the controller all of them
+    (plus the synthetic crash/detect actions below) and it picks which one
+    fires next.
     The delay model still runs — record timestamps and acknowledgment
     redraws are drawn exactly as always, so a replayed choice sequence
     reproduces the execution bit-for-bit — but it no longer *orders*
@@ -604,6 +606,32 @@ class ScheduleController:
         with ``stop_reason == "controller"``.
         """
         raise NotImplementedError
+
+
+class _Control:
+    """A controlled run's picker state (see :meth:`AsyncRuntime._control_step`)."""
+
+    __slots__ = ("controller", "crashable", "rejoinable", "detect_ready",
+                 "alive_ready", "blockers", "voided")
+
+    def __init__(self, controller: ScheduleController) -> None:
+        self.controller = controller
+        self.crashable = tuple(controller.crashable)
+        self.rejoinable = tuple(getattr(controller, "rejoinable", ()))
+        #: Armed failure-detector steps: (observer, dead), arming order.
+        self.detect_ready: List[Tuple[NodeId, NodeId]] = []
+        #: Armed recovery-detector steps: (observer, returned), arming
+        #: order.  Never withheld: a chosen rejoin voids every pre-rejoin
+        #: incident record immediately, so there is nothing the §11 bound
+        #: would still be waiting on.
+        self.alive_ready: List[Tuple[NodeId, NodeId]] = []
+        #: Per-corpse seqs of live-sender deliveries in flight at the
+        #: crash; the corpse's detects are withheld until all have fired
+        #: (the §11 synchrony bound: such messages resolve before the
+        #: detection timeout).
+        self.blockers: Dict[NodeId, set] = {}
+        #: Deliveries voided by re-joins, added to ``dropped`` at run end.
+        self.voided = 0
 
 
 class AsyncRuntime(EventQueue):
@@ -652,7 +680,7 @@ class AsyncRuntime(EventQueue):
         "output_time", "_time_to_output", "processes", "_active_seq",
         "faults", "detect_timeout", "_crash_t", "_down_fn", "_drop_fn",
         "dropped", "controller", "crashed",
-        "_rejoin_t", "_stale_seq", "_process_factory", "rejoined",
+        "_rejoin_t", "_stale_seq", "_process_factory", "rejoined", "_cb_node",
     )
 
     def __init__(
@@ -689,6 +717,11 @@ class AsyncRuntime(EventQueue):
         entered when no schedule is active).  ``detect_timeout`` is how long
         after a neighbor's crash its failure detector fires (sound for any
         value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
+        ``controller`` is an optional :class:`ScheduleController`: it
+        replaces the clock as the order in which events fire and may crash
+        and re-join nodes at steps of its choosing (the model checker's
+        hook, DESIGN.md §13); it excludes ``faults``.  A fault schedule or a
+        controller sends ``run`` into the slow loop, :meth:`_run_slow`.
         """
         super().__init__()
         self.graph = graph
@@ -717,8 +750,9 @@ class AsyncRuntime(EventQueue):
                 " runs take crash points from ScheduleController.crashable"
             )
         self.controller = controller
-        #: Nodes crashed by controller-chosen actions, with the logical
-        #: time of the crash.  Populated only by ``_run_controlled``.
+        #: Nodes crashed by controller-chosen actions and not (yet)
+        #: re-joined, with the logical time of the crash.  Crashes from a
+        #: fault schedule live only in ``_crash_t``; this stays empty.
         self.crashed: Dict[NodeId, float] = {}
         #: Nodes that re-joined during the run (schedule-keyed or
         #: controller-chosen), with the time of the rejoin.
@@ -729,24 +763,38 @@ class AsyncRuntime(EventQueue):
         # Kept for rejoin rebuilds only (a returned node gets a *fresh*
         # process from the same factory); never touched on fault-free runs.
         self._process_factory = process_factory
-        if faults is None:
-            self._crash_t: Optional[List[float]] = None
-            self._down_fn = None
-            self._drop_fn = None
-            self._rejoin_t: Optional[List[float]] = None
-        else:
-            # Fault state resolved once per runtime: per-node crash times
-            # (``inf`` = never) and per-directed-link down/drop checkers
-            # (``None`` = the link is never down / never drops), all pure
-            # functions of the schedule's seed.
-            self._crash_t = [faults.crash_time(v) for v in graph.nodes]
+        #: Callback seq -> the node whose step it is (``on_start`` in the
+        #: slow loop, environment events): the slow loop drops such a
+        #: callback while its node is down, and the controller sees it as
+        #: a step of that node.
+        self._cb_node: Dict[int, NodeId] = {}
+        # Fault state, resolved once per runtime: per-node dead windows
+        # ``[_crash_t[v], _rejoin_t[v])`` (``inf`` = never) and
+        # per-directed-link down/drop checkers (``None`` = the link is never
+        # down / never drops).  A fault schedule fills them from its seed; a
+        # controller starts from "never" and writes a node's crash or
+        # re-join time when it chooses one.  ``None`` arrays mean the fast
+        # loop.
+        if faults is not None:
+            self._crash_t: Optional[List[float]] = [
+                faults.crash_time(v) for v in graph.nodes
+            ]
+            self._rejoin_t: Optional[List[float]] = [
+                faults.rejoin_time(v) for v in graph.nodes
+            ]
             self._down_fn = [
                 faults.down_checker(lu[i], lv[i]) for i in range(n_links)
             ]
             self._drop_fn = [
                 faults.drop_checker(lu[i], lv[i]) for i in range(n_links)
             ]
-            self._rejoin_t = [faults.rejoin_time(v) for v in graph.nodes]
+        elif controller is not None:
+            self._crash_t = [inf] * graph.num_nodes
+            self._rejoin_t = [inf] * graph.num_nodes
+            self._down_fn = self._drop_fn = [None] * n_links
+        else:
+            self._crash_t = self._rejoin_t = None
+            self._down_fn = self._drop_fn = None
         # Per-link stale-record watermark: a transport record whose seq is
         # below the link's watermark was in flight when an incident endpoint
         # re-joined and is *void* at fire time (DESIGN.md §15).  All zeros
@@ -1181,8 +1229,6 @@ class AsyncRuntime(EventQueue):
         """
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
-        base = Process.on_neighbor_dead
-        processes = self.processes
         timeout = self.detect_timeout
         for c in self.graph.nodes:
             t_crash = crash_t[c]
@@ -1195,17 +1241,30 @@ class AsyncRuntime(EventQueue):
                 # indistinguishable from slowness under the synchrony
                 # bound, so no observer ever accuses it (DESIGN.md §15).
                 continue
-            for u in sorted(self.graph.neighbors(c)):
-                if crash_t[u] <= t_fire < rejoin_t[u]:
-                    continue  # observer dead at the fire time
-                proc = processes[u]
-                if type(proc).on_neighbor_dead is base:
-                    continue
+            for u in self._observers(c, t_fire, Process.on_neighbor_dead):
                 # Fire-time process lookup: if the observer re-joined
                 # between scheduling and firing, the *fresh* incarnation
-                # gets the callback (same object as ``proc`` on any
-                # schedule without rejoins).
+                # gets the callback (the same object on any schedule
+                # without rejoins).
                 self.schedule_at(t_fire, partial(self._fire_dead, u, c))
+
+    def _observers(self, v: NodeId, t: float, hook) -> List[NodeId]:
+        """Neighbors of ``v``, ascending, that are up at ``t`` and override
+        ``hook`` (``Process.on_neighbor_dead`` or ``on_neighbor_alive``).
+
+        These are the nodes that get a detector step about ``v``; a process
+        that keeps the base no-op gets none, so fault-oblivious programs
+        keep their schedules.
+        """
+        crash_t = self._crash_t
+        rejoin_t = self._rejoin_t
+        processes = self.processes
+        name = hook.__name__
+        return [
+            u for u in sorted(self.graph.neighbors(v))
+            if not crash_t[u] <= t < rejoin_t[u]
+            and getattr(type(processes[u]), name) is not hook
+        ]
 
     def _fire_dead(self, observer: NodeId, corpse: NodeId) -> None:
         """Deliver ``on_neighbor_dead`` to whoever holds ``observer`` *now*."""
@@ -1216,17 +1275,20 @@ class AsyncRuntime(EventQueue):
         self.processes[observer].on_neighbor_alive(returned)
 
     def _rewire_node(self, v: NodeId) -> Process:
-        """Rebuild node ``v`` with fresh protocol state and re-arm its links.
+        """Re-join node ``v`` at ``self._now``: the half both pickers share.
 
-        The engine-agnostic half of a re-join (DESIGN.md §15): a fresh
-        process from the original factory replaces the corpse, every
-        incident directed link is re-wired to the new incarnation's
-        handlers (incoming: ``on_message``/dispatch table; outgoing:
-        ``on_delivered`` interest), and both directions are reset — the
-        jam a crashed receiver left behind clears, queued traffic toward
-        the corpse is discarded.  Timing-specific bookkeeping (stale-seq
-        watermarks / bag removal, ``on_start``, alive detectors) stays
-        with the caller.
+        A fresh process from the original factory replaces the corpse
+        (DESIGN.md §15), every incident directed link is re-wired to the
+        new incarnation's handlers (incoming: ``on_message``/dispatch
+        table; outgoing: ``on_delivered`` interest), and both directions
+        are reset — the jam a crashed receiver left behind clears, queued
+        traffic toward the corpse is discarded.  The node is recorded in
+        ``rejoined`` and its output register is blanked: whatever the
+        previous incarnation answered died with it (``time_to_output``
+        keeps its high-water mark — it is a scalar over the whole
+        execution).  Voiding the old in-flight records, ``on_start`` and
+        the alive detectors stay with the caller: the clock and the
+        controller order them differently.
         """
         proc = self._process_factory(ProcessContext(self, v))
         self.processes[v] = proc
@@ -1250,10 +1312,13 @@ class AsyncRuntime(EventQueue):
                 ack_prefix[lid_out] = None
             self._reset_link(lid_out)
             self._reset_link(lid_in)
+        self.rejoined[v] = self._now
+        self.outputs.pop(v, None)
+        self.output_time.pop(v, None)
         return proc
 
     def _rejoin_node(self, v: NodeId) -> None:
-        """Timed-mode re-join callback: node ``v`` returns at ``self._now``.
+        """Clock-mode re-join callback: node ``v`` returns at ``self._now``.
 
         Runs as an ordinary heap callback scheduled at setup, so at equal
         timestamps it fires *before* any same-time transport record (its
@@ -1267,44 +1332,41 @@ class AsyncRuntime(EventQueue):
         overriding neighbors, the same sound bound as crash detection: by
         then all pre-rejoin incident traffic has fired or been voided.
         """
-        now = self._now
         mark = next(self._counter)
         stale = self._stale_seq
         out = self._out
         for w in self.graph.neighbors(v):
             stale[out[v][w]] = mark
             stale[out[w][v]] = mark
-        proc = self._rewire_node(v)
-        self.rejoined[v] = now
-        # Blank state includes the output register: whatever the previous
-        # incarnation answered died with it (``time_to_output`` keeps its
-        # high-water mark — it is a scalar over the whole execution).
-        self.outputs.pop(v, None)
-        self.output_time.pop(v, None)
-        proc.on_start()
-        crash_t = self._crash_t
-        rejoin_t = self._rejoin_t
-        base_alive = Process.on_neighbor_alive
-        t_fire = now + self.detect_timeout
-        for u in sorted(self.graph.neighbors(v)):
-            if crash_t[u] <= t_fire < rejoin_t[u]:
-                continue  # observer dead at the fire time
-            if type(self.processes[u]).on_neighbor_alive is base_alive:
-                continue
+        self._rewire_node(v).on_start()
+        t_fire = self._now + self.detect_timeout
+        for u in self._observers(v, t_fire, Process.on_neighbor_alive):
             self.schedule_at(t_fire, partial(self._fire_alive, u, v))
 
-    def _run_faulty(
+    # ------------------------------------------------------------------
+    # the slow loop: fault schedules and controlled runs (DESIGN.md §11,
+    # §13, §15)
+    # ------------------------------------------------------------------
+    def _run_slow(
         self,
         max_time: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> AsyncResult:
-        """The fault-mode dispatch loop: every record passes the fault gauntlet.
+        """The dispatch loop for runs with a fault schedule or a controller.
 
-        One unbatched, unfused variant (``run`` delegates here only when a
-        non-empty :class:`~repro.net.faults.FaultSchedule` is active, so the
-        fault-free fast loops are untouched).  Per record:
+        Two pickers choose the next record: the clock (heap order, with the
+        ``max_time`` deadline) under a fault schedule, and
+        :meth:`_control_step` (the controller's choice over the heap as an
+        unordered bag; logical time is the running maximum of fired record
+        timestamps) under a :class:`ScheduleController`.  Everything after
+        the pick is one unbatched, unfused dispatch in which every record
+        passes the fault gauntlet.  A node ``v`` is *down* in
+        ``[_crash_t[v], _rejoin_t[v])``; per record:
 
-        * **delivery** (packed or fat) — receiver crashed: the message
+        * **any transport record** in flight on a link when an incident
+          endpoint re-joined is void (below the link's stale watermark;
+          controlled re-joins take such records out of the bag instead).
+        * **delivery** (packed or fat) — receiver down: the message
           vanishes (``dropped``) and the sender's link jams (no ack ever;
           recovery uses :meth:`ProcessContext.reset_link`); edge down: the
           record is *deferred* to the interval's end as a fat record —
@@ -1313,10 +1375,12 @@ class AsyncRuntime(EventQueue):
           reference engine's delivery-time read): the payload is lost
           receiver-side but the link-layer acknowledgment still returns, so
           the sender's pipeline keeps moving; otherwise a normal delivery.
-        * **acknowledgment** — edge down: deferred likewise; sender
-          crashed: the link state is updated but the corpse takes no step
-          (no ``on_delivered``, no outbox drain — its queued messages die
-          with it); otherwise normal.
+        * **acknowledgment** — edge down: deferred likewise; sender down:
+          the link state is updated but the corpse takes no step (no
+          ``on_delivered``, no outbox drain — its queued messages die with
+          it); otherwise normal.
+        * **callback** attributed to a node (``on_start``, environment
+          events) — dropped while that node is down.
 
         Acks are never fused here: fusing's reservation bookkeeping assumes
         the ack always logically fires, which crashed senders violate.
@@ -1324,9 +1388,10 @@ class AsyncRuntime(EventQueue):
         processes = self.processes
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
+        cb_node = self._cb_node
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             if crash_t[v] > 0.0:
-                self.schedule(0.0, processes[v].on_start)
+                cb_node[self.schedule(0.0, processes[v].on_start)] = v
         self._blk_i[:] = self._skeleton.blk_lims
         self._schedule_detectors()
         for v in self.graph.nodes:
@@ -1336,6 +1401,7 @@ class AsyncRuntime(EventQueue):
                 # below every transport record's: at equal timestamps the
                 # rejoin fires first and same-time traffic is voided.
                 self.schedule_at(t_rejoin, partial(self._rejoin_node, v))
+        ctl = None if self.controller is None else _Control(self.controller)
 
         heap = self._heap
         pop = heappop
@@ -1364,33 +1430,54 @@ class AsyncRuntime(EventQueue):
         budget = (1 << 62) if max_events is None else max_events
         budget0 = budget
         stop_reason = "quiescent"
+        # ``acks`` and ``dropped`` are written back at exit: repro.check's
+        # state fingerprint reads both mid-run, and its pruning (so every
+        # DPOR execution count) is pinned to the values they held at start.
         acks = self.acks
         dropped = self.dropped
-        deadline = float("inf") if max_time is None else max_time
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
+        deadline = inf if max_time is None else max_time
+        # GC is paused only under the clock (see ``run``); a controlled run
+        # spends most of its time in the controller, whose allocations are
+        # its own business.
+        gc_paused = ctl is None and gc.isenabled()
+        if gc_paused:
             gc.disable()
         try:
-            while heap:
-                if heap[0][0] > deadline:
-                    stop_reason = "max_time"
-                    break
-                if budget == 0:
-                    stop_reason = "max_events"
-                    break
-                budget -= 1
-                record = pop(heap)
-                self._now = now = record[0]
-                self._active_seq = record[1]
+            while True:
+                if ctl is None:
+                    if not heap:
+                        break
+                    if heap[0][0] > deadline:
+                        stop_reason = "max_time"
+                        break
+                    if budget == 0:
+                        stop_reason = "max_events"
+                        break
+                    budget -= 1
+                    record = pop(heap)
+                    self._now = now = record[0]
+                else:
+                    record = self._control_step(ctl, budget == 0)
+                    if isinstance(record, str):
+                        stop_reason = record
+                        break
+                    budget -= 1
+                    if record is None:
+                        continue  # a synthetic crash/rejoin/detect/alive
+                    if record[0] > self._now:
+                        self._now = record[0]
+                    now = self._now
+                self._active_seq = seq = record[1]
                 code = record[2]
                 if code >= CODE_DELIVER:
                     lid = code - CODE_DELIVER
                     payload = slot_p_a[lid]
                     inj = injected_a[lid]
                     ack = slot_ack_a[lid]
-                elif code >= CODE_ACK:
-                    lid = code - CODE_ACK
-                    if record[1] < stale_a[lid]:
+                elif code >= CODE_ACK_PAYLOAD:
+                    # Bare or payload acknowledgment.
+                    lid = code & LINK_MASK
+                    if seq < stale_a[lid]:
                         # Void: in flight when an incident endpoint
                         # re-joined (checked before down-deferral so a
                         # deferred void record is never re-sequenced past
@@ -1402,26 +1489,7 @@ class AsyncRuntime(EventQueue):
                     if down is not None:
                         end = down(now)
                         if end > 0.0:
-                            push(heap, (end, next(counter), code))
-                            continue
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    ob = outbox_a[lid]
-                    sender = lu[lid]
-                    if ob and (crash_t[sender] > now
-                               or rejoin_t[sender] <= now):
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_ACK_PAYLOAD:
-                    lid = code - CODE_ACK_PAYLOAD
-                    if record[1] < stale_a[lid]:
-                        pending_a[lid] -= 1
-                        continue
-                    down = down_a[lid]
-                    if down is not None:
-                        end = down(now)
-                        if end > 0.0:
-                            push(heap, (end, next(counter), code, record[3]))
+                            push(heap, (end, next(counter)) + record[2:])
                             continue
                     pending_a[lid] -= 1
                     busy_a[lid] = False
@@ -1429,21 +1497,24 @@ class AsyncRuntime(EventQueue):
                     if crash_t[sender] <= now < rejoin_t[sender]:
                         # The sender is dead: no callback, no drain.
                         continue
-                    delivered_a[lid](lv[lid], record[3])
+                    if code < CODE_ACK:
+                        delivered_a[lid](lv[lid], record[3])
                     ob = outbox_a[lid]
                     if ob:
                         inject(lid, heappop(ob)[2])
                     continue
-                elif code >= CODE_DELIVER_PAYLOAD:
+                elif code:
                     lid = code - CODE_DELIVER_PAYLOAD
                     payload = record[3]
                     inj = record[4]
                     ack = record[5]
                 else:
-                    record[3]()
+                    node = cb_node.get(seq)
+                    if node is None or not crash_t[node] <= now < rejoin_t[node]:
+                        record[3]()
                     continue
                 # ---- delivery flow (packed or fat record) ----
-                if record[1] < stale_a[lid]:
+                if seq < stale_a[lid]:
                     # Void: the record was in flight when an incident
                     # endpoint re-joined.  The message vanishes without an
                     # acknowledgment — but unlike the crash jam the link
@@ -1470,21 +1541,18 @@ class AsyncRuntime(EventQueue):
                         push(heap, (end, next(counter), fcode_a[lid],
                                     payload, inj, ack))
                         continue
+                acks += 1
+                if ack is None or injected_a[lid] != inj:
+                    ack = self._ack_delay(lid)
                 drop = drop_a[lid]
                 if drop is not None and drop(injected_a[lid]):
                     # Receiver-side loss: no trace, no handler, but the
                     # link-layer acknowledgment still frees the sender.
                     dropped += 1
-                    acks += 1
-                    if ack is None or injected_a[lid] != inj:
-                        ack = self._ack_delay(lid)
                     push(heap, (now + ack, next(counter), acode_a[lid]))
                     continue
                 if trace is not None:
                     trace(now, lu[lid], dst, payload)
-                acks += 1
-                if ack is None or injected_a[lid] != inj:
-                    ack = self._ack_delay(lid)
                 delivered = delivered_a[lid]
                 if delivered is not None and (
                     prefix_a[lid] is None or payload[0] == prefix_a[lid]
@@ -1499,11 +1567,11 @@ class AsyncRuntime(EventQueue):
                 else:
                     deliver_a[lid](lu[lid], payload)
         finally:
-            if gc_was_enabled:
+            if gc_paused:
                 gc.enable()
             self._fired += budget0 - budget
             self.acks = acks
-            self.dropped = dropped
+            self.dropped = dropped if ctl is None else dropped + ctl.voided
             self.messages = sum(self._injected)
         return AsyncResult(
             time_to_output=self._time_to_output,
@@ -1514,349 +1582,146 @@ class AsyncRuntime(EventQueue):
             output_time=dict(self.output_time),
             events_fired=self._fired,
             stop_reason=stop_reason,
-            dropped=dropped,
+            dropped=self.dropped,
         )
 
-    # ------------------------------------------------------------------
-    # controlled mode (repro.check; DESIGN.md §13)
-    # ------------------------------------------------------------------
-    def _run_controlled(
-        self, max_events: Optional[int] = None
-    ) -> AsyncResult:
-        """The controller-driven dispatch loop (DESIGN.md §13).
+    def _control_step(self, ctl: "_Control", exhausted: bool):
+        """The controller's pick: one step of a controlled run (DESIGN.md §13).
 
-        The heap is treated as an unordered *bag* of enabled events: heap
-        order is never consulted (``heappush`` from the send paths is
-        harmless on a bag), and at every step the installed
-        :class:`ScheduleController` is shown every record plus the pending
-        synthetic crash/detect actions and picks one.  Acknowledgments are
-        never fused and same-time deliveries never batch, so every causal
-        step is a controller decision.  Logical time is the running
-        maximum of fired record timestamps — deterministic given the
-        choice sequence, which is what makes serialized counterexample
-        traces replay bit-exactly.
+        Shows the controller every record in the bag plus the pending
+        synthetic crash/rejoin/detect/alive actions, and applies a chosen
+        synthetic action here.  Returns a stop reason — ``"quiescent"``
+        (nothing enabled), ``"max_events"`` (``exhausted``) or
+        ``"controller"`` (the controller stopped) — or ``None`` after a
+        synthetic action, or the chosen record, already out of the bag, for
+        :meth:`_run_slow` to dispatch.
 
-        Crash semantics mirror ``_run_faulty``'s fail-stop rules, keyed on
-        the dynamic ``crashed`` set instead of precomputed crash times:
-        deliveries to a corpse vanish and jam the link, a dead sender's
-        acknowledgment still frees the link state but the corpse takes no
-        step, and a crashed node's scheduled callbacks are elided.
-        ``max_time`` has no meaning without the clock; only the
-        ``max_events`` step budget is honored.
+        A controller-chosen crash or re-join writes ``_crash_t``/
+        ``_rejoin_t`` at the current logical time, so the loop's dead-window
+        test needs nothing else; ``crashed`` and ``rejoined`` record the
+        same choices for the model checker.
         """
-        controller = self.controller
-        processes = self.processes
         heap = self._heap
-        counter = self._counter
-        push = heappush
-        # Attribution of engine-scheduled callbacks (on_start) to their
-        # node: the reduction layer treats an attributed callback as a step
-        # of that process, and a crashed node's callbacks must not fire.
-        cb_node: Dict[int, NodeId] = {}
-        for v in self.graph.nodes:  # ``nodes`` is an ascending range
-            seq = next(counter)
-            push(heap, (0.0, seq, EV_CALLBACK, processes[v].on_start))
-            cb_node[seq] = v
-        self._blk_i[:] = self._skeleton.blk_lims
-
-        crashable = tuple(controller.crashable)
-        rejoinable = tuple(getattr(controller, "rejoinable", ()))
-        crashed = self.crashed
-        rejoined = self.rejoined
-        base_detect = Process.on_neighbor_dead
-        base_alive = Process.on_neighbor_alive
-        #: Armed failure-detector steps: (observer, dead), arming order.
-        detect_ready: List[Tuple[NodeId, NodeId]] = []
-        #: Armed recovery-detector steps: (observer, returned), arming
-        #: order.  Never withheld: a chosen rejoin voids every pre-rejoin
-        #: incident record immediately, so there is nothing the §11 bound
-        #: would still be waiting on.
-        alive_ready: List[Tuple[NodeId, NodeId]] = []
-        #: Per-corpse seqs of live-sender deliveries in flight at the
-        #: crash; the corpse's detects are withheld until all have fired
-        #: (the §11 synchrony bound: such messages resolve before the
-        #: detection timeout).
-        detect_blockers: Dict[NodeId, set] = {}
-
-        trace = self.trace
         lu = self._lu
         lv = self._lv
-        busy_a = self._busy
-        outbox_a = self._outbox
-        pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
-        deliver_a = self._deliver
-        table_a = self._table
-        delivered_a = self._delivered
-        prefix_a = self._ack_prefix
-        injected_a = self._injected
-        acode_a = self._skeleton.ack_codes
-        apcode_a = self._skeleton.ack_payload_codes
-        inject = self._inject_link
-        budget = (1 << 62) if max_events is None else max_events
-        budget0 = budget
-        stop_reason = "quiescent"
-        acks = self.acks
-        dropped = self.dropped
-        try:
-            while True:
-                events: List[ControlledEvent] = []
-                for record in heap:
-                    code = record[2]
-                    if code >= CODE_DELIVER:
-                        lid = code - CODE_DELIVER
-                        events.append(ControlledEvent(
-                            CTRL_DELIVER, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    elif code >= CODE_ACK:
-                        lid = code - CODE_ACK
-                        events.append(ControlledEvent(
-                            CTRL_ACK, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    elif code >= CODE_ACK_PAYLOAD:
-                        lid = code - CODE_ACK_PAYLOAD
-                        events.append(ControlledEvent(
-                            CTRL_ACK, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    elif code >= CODE_DELIVER_PAYLOAD:
-                        lid = code - CODE_DELIVER_PAYLOAD
-                        events.append(ControlledEvent(
-                            CTRL_DELIVER, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    else:
-                        events.append(ControlledEvent(
-                            CTRL_CALLBACK, record[1], None, None, None,
-                            cb_node.get(record[1]), record))
-                events.sort(key=lambda e: e.seq)
-                for v in crashable:
-                    if v not in crashed and v not in rejoined:
-                        # One crash per node: a re-joined node is not
-                        # offered again, which bounds the schedule space
-                        # (no infinite crash/rejoin flapping).
-                        events.append(ControlledEvent(
-                            CTRL_CRASH, None, None, None, None, v, None))
-                for v in rejoinable:
-                    if v in crashed:
-                        events.append(ControlledEvent(
-                            CTRL_REJOIN, None, None, None, None, v, None))
-                for u, c in detect_ready:
-                    if detect_blockers.get(c):
-                        continue
-                    # detect: src = the dead node, dst/node = the observer.
-                    events.append(ControlledEvent(
-                        CTRL_DETECT, None, None, c, u, u, None))
-                for u, c in alive_ready:
-                    # alive: src = the returned node, dst/node = observer.
-                    events.append(ControlledEvent(
-                        CTRL_ALIVE, None, None, c, u, u, None))
-                if not events:
-                    break
-                if budget == 0:
-                    stop_reason = "max_events"
-                    break
-                choice = controller.choose(events)
-                if choice is None:
-                    stop_reason = "controller"
-                    break
-                budget -= 1
-                ev = events[choice]
-                record = ev.record
-                if record is None:
-                    if ev.kind == CTRL_CRASH:
-                        v = ev.node
-                        crashed[v] = self._now
-                        blockers = set()
-                        for rec in heap:
-                            rcode = rec[2]
-                            if rcode >= CODE_DELIVER:
-                                rlid = rcode - CODE_DELIVER
-                            elif rcode >= CODE_ACK_PAYLOAD:
-                                continue  # acks drain before any timeout
-                            elif rcode >= CODE_DELIVER_PAYLOAD:
-                                rlid = rcode - CODE_DELIVER_PAYLOAD
-                            else:
-                                continue  # callbacks are untimed
-                            if lu[rlid] not in crashed:
-                                blockers.add(rec[1])
-                        if blockers:
-                            detect_blockers[v] = blockers
-                        # The corpse observes nothing from now on.
-                        detect_ready[:] = [
-                            pair for pair in detect_ready if pair[0] != v
-                        ]
-                        alive_ready[:] = [
-                            pair for pair in alive_ready if pair[0] != v
-                        ]
-                        for u in sorted(self.graph.neighbors(v)):
-                            if u in crashed:
-                                continue
-                            if type(processes[u]).on_neighbor_dead \
-                                    is base_detect:
-                                continue
-                            detect_ready.append((u, v))
-                    elif ev.kind == CTRL_REJOIN:
-                        v = ev.node
-                        del crashed[v]
-                        rejoined[v] = self._now
-                        # Un-fired detects observing v raced the rejoin and
-                        # lost: the timeout saw the node answer again.  The
-                        # controller covers the other order by firing the
-                        # detect *before* choosing the rejoin — exactly the
-                        # D1–D3 interleaving pair.
-                        detect_ready[:] = [
-                            pair for pair in detect_ready if pair[1] != v
-                        ]
-                        detect_blockers.pop(v, None)
-                        # Void every in-flight incident record (and the
-                        # corpse's stale attributed callbacks): the new
-                        # incarnation shares no link-layer state with the
-                        # old one.
-                        out = self._out
-                        incident = set()
-                        for w in self.graph.neighbors(v):
-                            incident.add(out[v][w])
-                            incident.add(out[w][v])
-                        voided = []
-                        for rec in heap:
-                            rcode = rec[2]
-                            if rcode >= CODE_DELIVER:
-                                rlid = rcode - CODE_DELIVER
-                                is_delivery = True
-                            elif rcode >= CODE_ACK:
-                                rlid = rcode - CODE_ACK
-                                is_delivery = False
-                            elif rcode >= CODE_ACK_PAYLOAD:
-                                rlid = rcode - CODE_ACK_PAYLOAD
-                                is_delivery = False
-                            elif rcode >= CODE_DELIVER_PAYLOAD:
-                                rlid = rcode - CODE_DELIVER_PAYLOAD
-                                is_delivery = True
-                            else:
-                                if cb_node.get(rec[1]) == v:
-                                    voided.append((rec, None, False))
-                                continue
-                            if rlid in incident:
-                                voided.append((rec, rlid, is_delivery))
-                        for rec, rlid, is_delivery in voided:
-                            heap.remove(rec)
-                            if rlid is not None:
-                                pending_a[rlid] -= 1
-                                if is_delivery:
-                                    dropped += 1
-                            if detect_blockers:
-                                for blk in detect_blockers.values():
-                                    blk.discard(rec[1])
-                        proc = self._rewire_node(v)
-                        # Blank state includes the output register: the
-                        # previous incarnation's answer died with it.
-                        self.outputs.pop(v, None)
-                        self.output_time.pop(v, None)
-                        seq = next(counter)
-                        push(heap, (self._now, seq, EV_CALLBACK,
-                                    proc.on_start))
-                        cb_node[seq] = v
-                        for u in sorted(self.graph.neighbors(v)):
-                            if u in crashed:
-                                continue
-                            if type(processes[u]).on_neighbor_alive \
-                                    is base_alive:
-                                continue
-                            alive_ready.append((u, v))
-                    elif ev.kind == CTRL_ALIVE:
-                        alive_ready.remove((ev.dst, ev.src))
-                        processes[ev.dst].on_neighbor_alive(ev.src)
-                    else:  # CTRL_DETECT
-                        detect_ready.remove((ev.dst, ev.src))
-                        processes[ev.dst].on_neighbor_dead(ev.src)
-                    continue
-                # Record-backed step: pull it out of the bag and dispatch.
-                heap.remove(record)
-                if detect_blockers:
-                    for blk in detect_blockers.values():
-                        blk.discard(record[1])
-                if record[0] > self._now:
-                    self._now = record[0]
-                now = self._now
-                self._active_seq = record[1]
-                code = record[2]
-                if code >= CODE_DELIVER:
-                    lid = code - CODE_DELIVER
-                    payload = slot_p_a[lid]
-                    inj = injected_a[lid]
-                    ack = slot_ack_a[lid]
-                elif code >= CODE_ACK:
-                    lid = code - CODE_ACK
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    ob = outbox_a[lid]
-                    if ob and lu[lid] not in crashed:
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_ACK_PAYLOAD:
-                    lid = code - CODE_ACK_PAYLOAD
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    if lu[lid] in crashed:
-                        # The sender is dead: no callback, no drain.
-                        continue
-                    delivered_a[lid](lv[lid], record[3])
-                    ob = outbox_a[lid]
-                    if ob:
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_DELIVER_PAYLOAD:
-                    lid = code - CODE_DELIVER_PAYLOAD
-                    payload = record[3]
-                    inj = record[4]
-                    ack = record[5]
-                else:
-                    node = cb_node.get(record[1])
-                    if node is None or node not in crashed:
-                        record[3]()
-                    continue
-                # ---- delivery flow (packed or fat record) ----
-                dst = lv[lid]
-                if dst in crashed:
-                    # Receiver crashed: the message vanishes and the link
-                    # jams (recovery uses ProcessContext.reset_link).
-                    dropped += 1
-                    pending_a[lid] -= 1
-                    continue
-                if trace is not None:
-                    trace(now, lu[lid], dst, payload)
-                acks += 1
-                if ack is None or injected_a[lid] != inj:
-                    ack = self._ack_delay(lid)
-                delivered = delivered_a[lid]
-                if delivered is not None and (
-                    prefix_a[lid] is None or payload[0] == prefix_a[lid]
-                ):
-                    push(heap, (now + ack, next(counter), apcode_a[lid],
-                                payload))
-                else:
-                    push(heap, (now + ack, next(counter), acode_a[lid]))
-                table = table_a[lid]
-                if table is not None:
-                    table[payload[0]](lu[lid], payload)
-                else:
-                    deliver_a[lid](lu[lid], payload)
-        finally:
-            self._fired += budget0 - budget
-            self.acks = acks
-            self.dropped = dropped
-            self.messages = sum(self._injected)
-        return AsyncResult(
-            time_to_output=self._time_to_output,
-            time_to_quiescence=self._now,
-            messages=self.messages,
-            acks=self.acks if self.count_acks else 0,
-            outputs=dict(self.outputs),
-            output_time=dict(self.output_time),
-            events_fired=self._fired,
-            stop_reason=stop_reason,
-            dropped=dropped,
-        )
+        cb_node = self._cb_node
+        crashed = self.crashed
+        detect_ready = ctl.detect_ready
+        alive_ready = ctl.alive_ready
+        blockers = ctl.blockers
+        kinds = _CTRL_KINDS
+        event = ControlledEvent
+        events: List[ControlledEvent] = []
+        for record in heap:
+            code = record[2]
+            if code:
+                lid = code & LINK_MASK
+                events.append(event(
+                    kinds[code >> LINK_BITS], record[1], lid, lu[lid],
+                    lv[lid], None, record))
+            else:
+                events.append(event(
+                    CTRL_CALLBACK, record[1], None, None, None,
+                    cb_node.get(record[1]), record))
+        events.sort(key=lambda e: e.seq)
+        for v in ctl.crashable:
+            if v not in crashed and v not in self.rejoined:
+                # One crash per node: a re-joined node is not offered
+                # again, which bounds the schedule space (no infinite
+                # crash/rejoin flapping).
+                events.append(ControlledEvent(
+                    CTRL_CRASH, None, None, None, None, v, None))
+        for v in ctl.rejoinable:
+            if v in crashed:
+                events.append(ControlledEvent(
+                    CTRL_REJOIN, None, None, None, None, v, None))
+        for u, c in detect_ready:
+            if not blockers.get(c):
+                # detect: src = the dead node, dst/node = the observer.
+                events.append(ControlledEvent(
+                    CTRL_DETECT, None, None, c, u, u, None))
+        for u, c in alive_ready:
+            # alive: src = the returned node, dst/node = the observer.
+            events.append(ControlledEvent(
+                CTRL_ALIVE, None, None, c, u, u, None))
+        if not events:
+            return "quiescent"
+        if exhausted:
+            return "max_events"
+        choice = ctl.controller.choose(events)
+        if choice is None:
+            return "controller"
+        ev = events[choice]
+        record = ev.record
+        if record is not None:
+            heap.remove(record)
+            for blk in blockers.values():
+                blk.discard(record[1])
+            return record
+        v = ev.node
+        now = self._now
+        if ev.kind == CTRL_CRASH:
+            crashed[v] = self._crash_t[v] = now
+            # D1: withhold the corpse's detects until every delivery from
+            # a live sender in flight now has fired (acks drain before any
+            # timeout; callbacks are untimed).
+            blocking = {
+                rec[1] for rec in heap
+                if _CTRL_KINDS[rec[2] >> LINK_BITS] == CTRL_DELIVER
+                and lu[rec[2] & LINK_MASK] not in crashed
+            }
+            if blocking:
+                blockers[v] = blocking
+            # The corpse observes nothing from now on.
+            detect_ready[:] = [pair for pair in detect_ready if pair[0] != v]
+            alive_ready[:] = [pair for pair in alive_ready if pair[0] != v]
+            detect_ready.extend(
+                (u, v)
+                for u in self._observers(v, now, Process.on_neighbor_dead)
+            )
+        elif ev.kind == CTRL_REJOIN:
+            del crashed[v]
+            self._rejoin_t[v] = now
+            # Un-fired detects observing v raced the rejoin and lost: the
+            # timeout saw the node answer again.  The controller covers the
+            # other order by firing the detect *before* choosing the
+            # rejoin — exactly the D1–D3 interleaving pair.
+            detect_ready[:] = [pair for pair in detect_ready if pair[1] != v]
+            blockers.pop(v, None)
+            # Void every in-flight incident record (and the corpse's stale
+            # attributed callbacks): the new incarnation shares no
+            # link-layer state with the old one.
+            out = self._out
+            incident = set()
+            for w in self.graph.neighbors(v):
+                incident.add(out[v][w])
+                incident.add(out[w][v])
+            for rec in [
+                rec for rec in heap
+                if ((rec[2] & LINK_MASK) in incident if rec[2]
+                    else cb_node.get(rec[1]) == v)
+            ]:
+                heap.remove(rec)
+                code = rec[2]
+                if code:
+                    self._pending[code & LINK_MASK] -= 1
+                    if _CTRL_KINDS[code >> LINK_BITS] == CTRL_DELIVER:
+                        ctl.voided += 1
+                for blk in blockers.values():
+                    blk.discard(rec[1])
+            proc = self._rewire_node(v)
+            cb_node[self.schedule_at(now, proc.on_start)] = v
+            alive_ready.extend(
+                (u, v)
+                for u in self._observers(v, now, Process.on_neighbor_alive)
+            )
+        elif ev.kind == CTRL_ALIVE:
+            alive_ready.remove((ev.dst, ev.src))
+            self.processes[ev.dst].on_neighbor_alive(ev.src)
+        else:  # CTRL_DETECT
+            detect_ready.remove((ev.dst, ev.src))
+            self.processes[ev.dst].on_neighbor_dead(ev.src)
+        return None
 
     # ------------------------------------------------------------------
     def run(
@@ -1864,10 +1729,14 @@ class AsyncRuntime(EventQueue):
         max_time: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> AsyncResult:
-        if self.controller is not None:
-            return self._run_controlled(max_events=max_events)
         if self._crash_t is not None:
-            return self._run_faulty(max_time=max_time, max_events=max_events)
+            if max_time is not None and self.controller is not None:
+                raise ValueError(
+                    "max_time has no meaning in a controlled run: the"
+                    " controller, not the clock, orders its events; bound"
+                    " it with max_events"
+                )
+            return self._run_slow(max_time=max_time, max_events=max_events)
         processes = self.processes
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             self.schedule(0.0, processes[v].on_start)

@@ -103,26 +103,30 @@ class EventQueue:
     def fired(self) -> int:
         return self._fired
 
-    def schedule(self, delay: float, callback: Callback) -> None:
-        """Schedule ``callback`` at ``now + delay`` (delay must be >= 0, finite)."""
+    def schedule(self, delay: float, callback: Callback) -> int:
+        """Schedule ``callback`` at ``now + delay`` (delay must be >= 0, finite).
+
+        Returns the record's sequence number.
+        """
         # Written as a membership test so NaN (every comparison False) and
         # +inf fail it too, not just negative delays: a non-finite time in
         # the heap silently corrupts (time, seq) ordering for every later
         # event, so fail loudly with a named error at scheduling time.
         if not 0.0 <= delay < inf:
             raise InvalidDelayError(f"invalid delay {delay!r} (must be finite, >= 0)")
-        heapq.heappush(
-            self._heap, (self._now + delay, next(self._counter), EV_CALLBACK, callback)
-        )
+        seq = next(self._counter)
+        heapq.heappush(self._heap, (self._now + delay, seq, EV_CALLBACK, callback))
+        return seq
 
-    def schedule_at(self, time: float, callback: Callback) -> None:
+    def schedule_at(self, time: float, callback: Callback) -> int:
+        """Schedule ``callback`` at ``time``; returns its sequence number."""
         if not self._now <= time < inf:
             raise InvalidDelayError(
                 f"invalid event time {time!r} (must be finite, >= now={self._now})"
             )
-        heapq.heappush(
-            self._heap, (time, next(self._counter), EV_CALLBACK, callback)
-        )
+        seq = next(self._counter)
+        heapq.heappush(self._heap, (time, seq, EV_CALLBACK, callback))
+        return seq
 
     def dispatch(self, record: Tuple) -> None:
         """Handle a non-callback record; engines embedding the queue override."""
